@@ -32,7 +32,43 @@ std::uint64_t graph_fingerprint(const Graph& g) {
 /// the only code with cross-class layout knowledge.
 class SchemeSerializer {
  public:
-  static void save(BinaryWriter& w, const TZScheme& s) {
+  /// One TableEntry on disk: w, level, dist, 7 record fields, light slice.
+  static constexpr std::uint64_t kTableEntryBytes = 4 + 4 + 8 + 9 * 4;
+
+  /// Exact byte count save() writes: arithmetic over vector lengths, so
+  /// the caller sizes its buffer once.
+  static std::uint64_t size(const TZScheme& s) {
+    std::uint64_t b = 8 + 4 + 8;             // magic, version, fingerprint
+    b += 4 + 1 + 8 + 4 + 1 + 1;              // options
+    const TZPreprocessing& pre = s.pre_;
+    b += vec_bytes(pre.rank_) + 4;
+    for (const auto& level : pre.hierarchy_.levels) b += vec_bytes(level);
+    b += vec_bytes(pre.hierarchy_.level_of) + 8;
+    for (const MultiSourceResult& ms : pre.pivots_) {
+      b += vec_bytes(ms.dist) + vec_bytes(ms.owner) + vec_bytes(ms.parent) +
+           vec_bytes(ms.parent_port);
+    }
+    b += 4 + 4 + 8;                          // codecs, table count
+    for (const VertexTable& t : s.tables_) {
+      b += 8 + t.entries_.size() * kTableEntryBytes +
+           vec_bytes(t.light_pool_) + 8;
+    }
+    b += 8;
+    for (const ClusterDirectory& d : s.dirs_) {
+      b += vec_bytes(d.ts_) + vec_bytes(d.dfs_) + vec_bytes(d.light_off_) +
+           vec_bytes(d.pool_) + 8;
+    }
+    b += 8;
+    for (const RoutingLabel& l : s.labels_) {
+      b += 4 + 8;
+      for (const LabelEntry& e : l.entries) {
+        b += 4 + 4 + 8 + 4 + vec_bytes(e.tree.light_ports);
+      }
+    }
+    return b;
+  }
+
+  static void save(ByteWriter& w, const TZScheme& s) {
     w.u64(kMagic);
     w.u32(kVersion);
     w.u64(graph_fingerprint(*s.g_));
@@ -110,7 +146,7 @@ class SchemeSerializer {
     }
   }
 
-  static TZScheme load(BinaryReader& r, const Graph& g) {
+  static TZScheme load(SpanReader& r, const Graph& g) {
     CROUTE_REQUIRE(r.u64() == kMagic, "not a croute scheme stream");
     CROUTE_REQUIRE(r.u32() == kVersion, "unsupported scheme version");
     CROUTE_REQUIRE(r.u64() == graph_fingerprint(g),
@@ -137,7 +173,7 @@ class SchemeSerializer {
       level = r.vec_u32<VertexId>();
     }
     pre.hierarchy_.level_of = r.vec_u32<std::uint32_t>();
-    const std::uint64_t num_pivots = r.u64();
+    const std::uint64_t num_pivots = r.count(4 * 8);
     CROUTE_REQUIRE(num_pivots == pre.hierarchy_.k,
                    "pivot level count mismatch");
     pre.pivots_.resize(num_pivots);
@@ -153,12 +189,12 @@ class SchemeSerializer {
     s.codec_ = LabelCodec(g.num_vertices(), g.max_degree(),
                           s.options_.labels_carry_distances);
 
-    const std::uint64_t num_tables = r.u64();
+    const std::uint64_t num_tables = r.count(3 * 8);
     CROUTE_REQUIRE(num_tables == g.num_vertices(), "table count mismatch");
     s.tables_.resize(num_tables);
     Rng hash_rng(graph_fingerprint(g) ^ 0x68617368u);  // derived state only
     for (VertexTable& t : s.tables_) {
-      t.entries_.resize(r.u64());
+      t.entries_.resize(r.count(kTableEntryBytes));
       for (TableEntry& e : t.entries_) {
         e.w = r.u32();
         e.level = r.u32();
@@ -178,7 +214,7 @@ class SchemeSerializer {
       if (s.options_.hash_index) t.build_hash_index(hash_rng);
     }
 
-    const std::uint64_t num_dirs = r.u64();
+    const std::uint64_t num_dirs = r.count(5 * 8);
     CROUTE_REQUIRE(num_dirs == g.num_vertices(), "directory count mismatch");
     s.dirs_.resize(num_dirs);
     for (ClusterDirectory& d : s.dirs_) {
@@ -193,12 +229,12 @@ class SchemeSerializer {
                      "corrupt directory block");
     }
 
-    const std::uint64_t num_labels = r.u64();
+    const std::uint64_t num_labels = r.count(4 + 8);
     CROUTE_REQUIRE(num_labels == g.num_vertices(), "label count mismatch");
     s.labels_.resize(num_labels);
     for (RoutingLabel& l : s.labels_) {
       l.t = r.u32();
-      l.entries.resize(r.u64());
+      l.entries.resize(r.count(4 + 4 + 8 + 4 + 8));
       CROUTE_REQUIRE(!l.entries.empty() && l.entries.size() <= 64,
                      "corrupt label block");
       for (LabelEntry& e : l.entries) {
@@ -213,26 +249,41 @@ class SchemeSerializer {
   }
 };
 
-void save_scheme(std::ostream& os, const TZScheme& scheme) {
-  BinaryWriter w(os);
+std::uint64_t scheme_encoded_size(const TZScheme& scheme) {
+  return SchemeSerializer::size(scheme);
+}
+
+void save_scheme(ByteWriter& w, const TZScheme& scheme) {
   SchemeSerializer::save(w, scheme);
 }
 
-TZScheme load_scheme(std::istream& is, const Graph& g) {
-  BinaryReader r(is);
+std::string save_scheme(const TZScheme& scheme) {
+  std::string out(scheme_encoded_size(scheme), '\0');
+  ByteWriter w(out.data(), out.size());
+  SchemeSerializer::save(w, scheme);
+  w.finish();
+  return out;
+}
+
+TZScheme load_scheme(SpanReader& r, const Graph& g) {
+  return SchemeSerializer::load(r, g);
+}
+
+TZScheme load_scheme(std::string_view bytes, const Graph& g) {
+  SpanReader r(bytes);
   return SchemeSerializer::load(r, g);
 }
 
 void save_scheme_file(const std::string& path, const TZScheme& scheme) {
+  const std::string bytes = save_scheme(scheme);
   std::ofstream os(path, std::ios::binary);
   CROUTE_REQUIRE(os.good(), "cannot open " + path + " for writing");
-  save_scheme(os, scheme);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  CROUTE_REQUIRE(os.good(), "write failed for " + path);
 }
 
 TZScheme load_scheme_file(const std::string& path, const Graph& g) {
-  std::ifstream is(path, std::ios::binary);
-  CROUTE_REQUIRE(is.good(), "cannot open " + path);
-  return load_scheme(is, g);
+  return load_scheme(read_file_bytes(path).view(), g);
 }
 
 }  // namespace croute

@@ -15,20 +15,30 @@
 
 #pragma once
 
-#include <iosfwd>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/tz_scheme.hpp"
+#include "util/serialize.hpp"
 
 namespace croute {
 
-/// Writes \p scheme to \p os. Throws std::invalid_argument on I/O errors.
-void save_scheme(std::ostream& os, const TZScheme& scheme);
+/// Exact number of bytes save_scheme writes for \p scheme.
+std::uint64_t scheme_encoded_size(const TZScheme& scheme);
+
+/// Writes \p scheme into \p w (exactly scheme_encoded_size bytes) — the
+/// in-place form the artifact codec embeds as its TZ section.
+void save_scheme(ByteWriter& w, const TZScheme& scheme);
+
+/// Serializes \p scheme into a fresh exact-size buffer.
+std::string save_scheme(const TZScheme& scheme);
 
 /// Reads a scheme bound to \p g. Throws std::invalid_argument on format,
-/// version, or graph-fingerprint mismatch. The graph must outlive the
-/// returned scheme.
-TZScheme load_scheme(std::istream& is, const Graph& g);
+/// version, or graph-fingerprint mismatch, and on truncated or
+/// implausible bytes. The graph must outlive the returned scheme.
+TZScheme load_scheme(SpanReader& r, const Graph& g);
+TZScheme load_scheme(std::string_view bytes, const Graph& g);
 
 /// File convenience wrappers.
 void save_scheme_file(const std::string& path, const TZScheme& scheme);

@@ -99,6 +99,7 @@ struct NetServer::Impl {
   obs::Counter* ctr_queries = nullptr;
   obs::Counter* ctr_rejected = nullptr;   ///< malformed/unsupported frames
   obs::Counter* ctr_overloaded = nullptr; ///< admission-control rejections
+  obs::Counter* ctr_isolated = nullptr;   ///< batches re-served per frame
   obs::Counter* ctr_rx_bytes = nullptr;
   obs::Counter* ctr_tx_bytes = nullptr;
   obs::Gauge* gauge_open = nullptr;
@@ -172,6 +173,9 @@ NetServer::NetServer(RouteService& service, NetServerOptions options)
     impl_->ctr_overloaded = &reg->counter(
         "croute_net_overload_rejections_total",
         "QUERY frames rejected by admission control (queue full)");
+    impl_->ctr_isolated = &reg->counter(
+        "croute_net_isolated_batches_total",
+        "Coalesced batches that threw and were re-served frame by frame");
     impl_->ctr_rx_bytes =
         &reg->counter("croute_net_bytes_rx_total", "Bytes read from sockets");
     impl_->ctr_tx_bytes =
@@ -302,60 +306,81 @@ bool prevalidate_label(LoopCtx& ctx, const SchemePackage& pkg,
   }
 }
 
+/// Writes one ANSWER frame per pending frame of a served (sub-)batch;
+/// \p base is the batch index of the first request the route() call saw.
+struct NetSink final : RouteSink {
+  LoopCtx& ctx;
+  std::uint64_t dispatch_ns;
+  std::span<const NetServer::Impl::PendingFrame> frames;
+  std::uint32_t base;
+  NetSink(LoopCtx& c, std::uint64_t d,
+          std::span<const NetServer::Impl::PendingFrame> f, std::uint32_t b)
+      : ctx(c), dispatch_ns(d), frames(f), base(b) {}
+  void on_answers(std::uint32_t first,
+                  std::span<const RouteAnswer> answers) override {
+    CROUTE_ASSERT(first == 0, "chunked delivery is not wired up");
+    for (const auto& pf : frames) {
+      const std::uint64_t socket_wait_ns = dispatch_ns - pf.enq_ns;
+      if (ctx.im.hist_queue_wait != nullptr) {
+        ctx.im.hist_queue_wait->record_n(
+            ctx.im.wait_shard,
+            static_cast<double>(socket_wait_ns) / 1000.0, pf.count);
+      }
+      if (pf.conn->dead) continue;
+      ctx.im.wire_answers.clear();
+      for (std::uint32_t i = 0; i < pf.count; ++i) {
+        const RouteAnswer& a = answers[pf.first - base + i];
+        WireAnswer w;
+        w.status = static_cast<std::uint8_t>(a.status);
+        w.hops = a.hops;
+        w.header_bits = a.header_bits;
+        w.latency_ns = static_cast<std::uint64_t>(a.latency_us * 1000.0);
+        // The wire reports the full server-side queueing a client
+        // cannot see: socket coalescing wait plus pool queue wait.
+        w.queue_wait_ns =
+            static_cast<std::uint64_t>(a.queue_wait_us * 1000.0) +
+            socket_wait_ns;
+        ctx.im.wire_answers.push_back(w);
+      }
+      ctx.im.payload.clear();
+      encode_answer(ctx.im.payload, pf.req_id, pf.conn->version,
+                    ctx.im.wire_answers);
+      push_frame(*pf.conn, static_cast<std::uint8_t>(FrameType::kAnswer),
+                 ctx.im.payload);
+      *ctx.frames_served += 1;
+      *ctx.queries_served += pf.count;
+    }
+  }
+};
+
 /// Serves the coalesced batch and writes ANSWER frames back.
 void serve_pending(LoopCtx& ctx) {
   if (ctx.im.requests.empty()) return;
   obs::TraceRecorder::Span span(ctx.im.trace, "serve_batch", "net");
   const std::uint64_t dispatch_ns = now_ns();
+  const std::span<const RouteRequest> requests = ctx.im.requests;
+  const std::span<const NetServer::Impl::PendingFrame> frames =
+      ctx.im.frames;
 
-  struct NetSink final : RouteSink {
-    LoopCtx& ctx;
-    std::uint64_t dispatch_ns;
-    explicit NetSink(LoopCtx& c, std::uint64_t d) : ctx(c), dispatch_ns(d) {}
-    void on_answers(std::uint32_t first,
-                    std::span<const RouteAnswer> answers) override {
-      CROUTE_ASSERT(first == 0, "chunked delivery is not wired up");
-      for (const auto& pf : ctx.im.frames) {
-        const std::uint64_t socket_wait_ns = dispatch_ns - pf.enq_ns;
-        if (ctx.im.hist_queue_wait != nullptr) {
-          ctx.im.hist_queue_wait->record_n(
-              ctx.im.wait_shard,
-              static_cast<double>(socket_wait_ns) / 1000.0, pf.count);
-        }
-        if (pf.conn->dead) continue;
-        ctx.im.wire_answers.clear();
-        for (std::uint32_t i = 0; i < pf.count; ++i) {
-          const RouteAnswer& a = answers[pf.first + i];
-          WireAnswer w;
-          w.status = static_cast<std::uint8_t>(a.status);
-          w.hops = a.hops;
-          w.header_bits = a.header_bits;
-          w.latency_ns = static_cast<std::uint64_t>(a.latency_us * 1000.0);
-          // The wire reports the full server-side queueing a client
-          // cannot see: socket coalescing wait plus pool queue wait.
-          w.queue_wait_ns =
-              static_cast<std::uint64_t>(a.queue_wait_us * 1000.0) +
-              socket_wait_ns;
-          ctx.im.wire_answers.push_back(w);
-        }
-        ctx.im.payload.clear();
-        encode_answer(ctx.im.payload, pf.req_id, pf.conn->version,
-                      ctx.im.wire_answers);
-        push_frame(*pf.conn, static_cast<std::uint8_t>(FrameType::kAnswer),
-                   ctx.im.payload);
-        *ctx.frames_served += 1;
-        *ctx.queries_served += pf.count;
-      }
-    }
-  } sink(ctx, dispatch_ns);
-
+  NetSink sink(ctx, dispatch_ns, frames, 0);
   try {
-    ctx.service.route(ctx.im.requests, sink);
-  } catch (const std::exception& e) {
-    // Pre-validation should make this unreachable; if a batch still
-    // throws, bill every pending frame rather than killing the loop.
-    for (const auto& pf : ctx.im.frames) {
-      if (!pf.conn->dead) {
+    ctx.service.route(requests, sink);
+  } catch (const std::exception&) {
+    // route() throws batch-wide and before any delivery. Pre-validation
+    // checks a label's structure, not that it still matches the serving
+    // generation (a label fetched before a hot swap can trip the
+    // engine), so the batch is re-served frame by frame: only the
+    // offending frames get an ERROR, other connections' frames are
+    // answered.
+    if (ctx.im.ctr_isolated != nullptr) ctx.im.ctr_isolated->inc();
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      const auto& pf = frames[f];
+      if (pf.conn->dead) continue;
+      NetSink one(ctx, dispatch_ns, frames.subspan(f, 1), pf.first);
+      try {
+        ctx.service.route(requests.subspan(pf.first, pf.count), one);
+      } catch (const std::exception& e) {
+        if (ctx.im.ctr_rejected != nullptr) ctx.im.ctr_rejected->inc();
         push_error(ctx, *pf.conn, kErrMalformed, pf.req_id, e.what());
       }
     }

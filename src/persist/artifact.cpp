@@ -2,9 +2,7 @@
 
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
-#include <streambuf>
 #include <utility>
 #include <vector>
 
@@ -37,111 +35,6 @@ constexpr std::uint32_t kMaxHostLen = 256;
   throw std::invalid_argument("artifact: " + what);
 }
 
-/// Bounds-checked little-endian reader over a byte span. Unlike
-/// BinaryReader (streams) this never copies payload bytes into an
-/// istream first — sections decode straight out of the mapped artifact —
-/// and every failure carries the absolute byte offset where it died.
-class SpanReader {
- public:
-  SpanReader(std::string_view bytes, std::uint64_t base_offset = 0)
-      : data_(bytes.data()), size_(bytes.size()), base_(base_offset) {}
-
-  std::uint64_t offset() const noexcept { return base_ + pos_; }
-  std::uint64_t remaining() const noexcept { return size_ - pos_; }
-
-  std::uint8_t u8() { return scalar<std::uint8_t>(); }
-  std::uint32_t u32() { return scalar<std::uint32_t>(); }
-  std::uint64_t u64() { return scalar<std::uint64_t>(); }
-  double f64() {
-    const std::uint64_t bits = scalar<std::uint64_t>();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-
-  template <typename T>
-  std::vector<T> vec_u32() {
-    static_assert(sizeof(T) == 4);
-    return vec<T>();
-  }
-  std::vector<std::uint64_t> vec_u64() { return vec<std::uint64_t>(); }
-  std::vector<double> vec_f64() { return vec<double>(); }
-
-  std::string str() {
-    const std::uint64_t len = u32();
-    if (len > kMaxHostLen) {
-      reject("implausible string length at byte offset " +
-             std::to_string(offset() - 4));
-    }
-    need(len);
-    std::string s(data_ + pos_, len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  template <typename T>
-  T scalar() {
-    static_assert(std::endian::native == std::endian::little,
-                  "big-endian hosts need byte swaps here");
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  template <typename T>
-  std::vector<T> vec() {
-    const std::uint64_t count = u64();
-    // A hostile length prefix must fail here, not in operator new: the
-    // remaining span bounds what any honest count can be.
-    if (count > remaining() / sizeof(T)) {
-      reject("implausible array length at byte offset " +
-             std::to_string(offset() - 8));
-    }
-    std::vector<T> v(count);
-    if (count > 0) {
-      std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
-      pos_ += count * sizeof(T);
-    }
-    return v;
-  }
-  void need(std::uint64_t bytes) {
-    if (bytes > remaining()) {
-      reject("truncated at byte offset " + std::to_string(offset()) +
-             " (wanted " + std::to_string(bytes) + " more bytes)");
-    }
-  }
-
-  const char* data_;
-  std::uint64_t size_;
-  std::uint64_t base_;  ///< absolute offset of data_[0] in the artifact
-  std::uint64_t pos_ = 0;
-};
-
-/// Read-only streambuf over artifact bytes, so the TZ section feeds
-/// scheme_io's istream loader without copying megabytes into a string.
-class MemBuf final : public std::streambuf {
- public:
-  MemBuf(const char* p, std::size_t n) {
-    char* b = const_cast<char*>(p);  // setg wants char*; we never write
-    setg(b, b, b + n);
-  }
-};
-
-struct Section {
-  std::uint32_t id = 0;
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;
-  std::uint32_t crc = 0;
-};
-
-struct ParsedHeader {
-  persist::ArtifactMeta meta;
-  std::vector<Section> sections;
-  std::uint64_t header_bytes = 0;  ///< size of header incl. its CRC
-};
-
 const char* section_name(std::uint32_t id) {
   switch (id) {
     case kSecGraph: return "GRAPH";
@@ -165,7 +58,20 @@ const char* section_name(std::uint32_t id) {
 class ArtifactCodec {
  public:
   // --- FlatScheme -----------------------------------------------------------
-  static void encode_flat(BinaryWriter& w, const FlatScheme& f) {
+  static std::uint64_t flat_bytes(const FlatScheme& f) {
+    return 1 + 8 + vec_bytes(f.tbl_off_) + vec_bytes(f.tbl_key_) + 8 +
+           f.tbl_record_.size() * kRecordBytes + vec_bytes(f.tbl_dist_) +
+           vec_bytes(f.tbl_level_) + vec_bytes(f.tbl_own_dfs_) +
+           vec_bytes(f.tbl_own_light_off_) + vec_bytes(f.tbl_own_light_len_) +
+           vec_bytes(f.tbl_light_pool_) + vec_bytes(f.dir_off_) +
+           vec_bytes(f.dir_key_) + vec_bytes(f.dir_dfs_) +
+           vec_bytes(f.dir_light_off_) + vec_bytes(f.dir_light_len_) +
+           vec_bytes(f.dir_light_pool_) + vec_bytes(f.lab_off_) + 8 +
+           f.lab_entries_.size() * kLabelEntryBytes +
+           vec_bytes(f.lab_light_pool_) + vec_bytes(f.bits_by_len_) + 8 + 4;
+  }
+
+  static void encode_flat(ByteWriter& w, const FlatScheme& f) {
     w.u8(f.options_.lookup == FlatLookup::kFKS ? 1 : 0);
     w.u64(f.options_.hash_seed);
     w.vec_u32(f.tbl_off_);
@@ -217,7 +123,7 @@ class ArtifactCodec {
     f->options_.hash_seed = r.u64();
     f->tbl_off_ = r.vec_u32<std::uint32_t>();
     f->tbl_key_ = r.vec_u32<VertexId>();
-    const std::uint64_t nrec = r.u64();
+    const std::uint64_t nrec = r.count(kRecordBytes);
     if (nrec != f->tbl_key_.size()) reject("FLAT_TZ: record/key count mismatch");
     f->tbl_record_.resize(nrec);
     for (TreeNodeRecord& rec : f->tbl_record_) {
@@ -262,7 +168,7 @@ class ArtifactCodec {
                  f->dir_light_pool_.size());
 
     f->lab_off_ = r.vec_u32<std::uint32_t>();
-    const std::uint64_t nlab = r.u64();
+    const std::uint64_t nlab = r.count(kLabelEntryBytes);
     f->lab_entries_.resize(nlab);
     for (FlatScheme::LabelEntryView& e : f->lab_entries_) {
       e.level = r.u32();
@@ -295,7 +201,13 @@ class ArtifactCodec {
   }
 
   // --- FlatCowen ------------------------------------------------------------
-  static void encode_cowen(BinaryWriter& w, const FlatCowen& c) {
+  static std::uint64_t cowen_bytes(const FlatCowen& c) {
+    return 4 + 4 + 4 + 8 + vec_bytes(c.cl_off_) + vec_bytes(c.cl_key_) +
+           vec_bytes(c.cl_port_) + vec_bytes(c.lport_) + 8 +
+           c.labels_.size() * 16;
+  }
+
+  static void encode_cowen(ByteWriter& w, const FlatCowen& c) {
     w.u32(c.n_);
     w.u32(c.id_bits_);
     w.u32(c.num_landmarks_);
@@ -335,7 +247,7 @@ class ArtifactCodec {
         std::uint64_t{c->n_} * c->num_landmarks_) {
       reject("FLAT_COWEN: landmark port matrix has the wrong shape");
     }
-    const std::uint64_t nlab = r.u64();
+    const std::uint64_t nlab = r.count(16);
     if (nlab != c->n_) reject("FLAT_COWEN: label count != n");
     c->labels_.resize(nlab);
     for (FlatCowen::Label& l : c->labels_) {
@@ -353,7 +265,11 @@ class ArtifactCodec {
   }
 
   // --- FlatFullTable --------------------------------------------------------
-  static void encode_full(BinaryWriter& w, const FlatFullTable& t) {
+  static std::uint64_t full_bytes(const FlatFullTable& t) {
+    return 4 + 8 + vec_bytes(t.hops_);
+  }
+
+  static void encode_full(ByteWriter& w, const FlatFullTable& t) {
     w.u32(t.n_);
     w.u64(t.label_bits_);
     w.vec_u32(t.hops_);
@@ -376,6 +292,9 @@ class ArtifactCodec {
   }
 
  private:
+  static constexpr std::uint64_t kRecordBytes = 7 * 4;  ///< TreeNodeRecord
+  static constexpr std::uint64_t kLabelEntryBytes = 4 + 4 + 8 + 3 * 4;
+
   /// CSR offsets invariants every router lookup assumes: size n+1,
   /// starts at 0, monotone, last == pool size.
   static void check_csr(const char* what, VertexId n,
@@ -413,9 +332,12 @@ std::string isa_stamp() {
   return std::string(simd::ops().name) + "/" + crc32c_backend();
 }
 
-std::string encode_graph_section(const Graph& g) {
-  std::ostringstream os(std::ios::binary);
-  BinaryWriter w(os);
+/// 16 bytes per undirected edge (u, v, weight), plus n and m.
+std::uint64_t graph_section_bytes(const Graph& g) {
+  return 4 + 8 + g.num_edges() * 16;
+}
+
+void encode_graph_section(ByteWriter& w, const Graph& g) {
   w.u32(g.num_vertices());
   w.u64(g.num_edges());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -427,17 +349,11 @@ std::string encode_graph_section(const Graph& g) {
       }
     }
   }
-  return std::move(os).str();
 }
 
-std::shared_ptr<const Graph> decode_graph_section(std::string_view bytes,
-                                                  std::uint64_t base) {
-  SpanReader r(bytes, base);
+std::shared_ptr<const Graph> decode_graph_section(SpanReader& r) {
   const VertexId n = r.u32();
-  const std::uint64_t m = r.u64();
-  if (m > bytes.size() / 16) {  // 16 bytes per edge record
-    reject("GRAPH: implausible edge count");
-  }
+  const std::uint64_t m = r.count(16);
   GraphBuilder builder(n);
   for (std::uint64_t i = 0; i < m; ++i) {
     const VertexId u = r.u32();
@@ -453,8 +369,14 @@ std::shared_ptr<const Graph> decode_graph_section(std::string_view bytes,
   return std::make_shared<const Graph>(builder.build());
 }
 
-void write_header(BinaryWriter& w, const ArtifactMeta& meta,
-                  const std::vector<Section>& sections) {
+/// Header size including its trailing CRC, for \p nsec sections.
+std::uint64_t header_size(const ArtifactMeta& meta, std::size_t nsec) {
+  return 8 + 4 + 5 * 1 + 4 + 4 + 4 * 8 + str_bytes(meta.build_host) + 4 +
+         nsec * (4 + 8 + 8 + 4) + 4;
+}
+
+void write_header(ByteWriter& w, const ArtifactMeta& meta,
+                  const std::vector<ArtifactSection>& sections) {
   w.u64(kMagic);
   w.u32(kArtifactFormatVersion);
   w.u8(static_cast<std::uint8_t>(meta.scheme));
@@ -468,12 +390,9 @@ void write_header(BinaryWriter& w, const ArtifactMeta& meta,
   w.u64(meta.options_digest);
   w.u64(meta.graph_digest);
   w.u64(meta.generation);
-  w.u32(static_cast<std::uint32_t>(meta.build_host.size()));
-  for (const char c : meta.build_host) {
-    w.u8(static_cast<std::uint8_t>(c));
-  }
+  w.str(meta.build_host);
   w.u32(static_cast<std::uint32_t>(sections.size()));
-  for (const Section& s : sections) {
+  for (const ArtifactSection& s : sections) {
     w.u32(s.id);
     w.u64(s.offset);
     w.u64(s.size);
@@ -481,116 +400,28 @@ void write_header(BinaryWriter& w, const ArtifactMeta& meta,
   }
 }
 
-/// Parses and validates the header: magic, version, field sanity, the
-/// header CRC, and the section table's geometry (contiguous, inside the
-/// payload area, no duplicate ids). Everything after this function is
-/// entitled to trust the table's offsets.
-ParsedHeader parse_header(std::string_view bytes) {
-  SpanReader r(bytes);
-  ParsedHeader h;
-  const std::uint64_t magic = r.u64();
-  if (magic != kMagic) {
-    reject("bad magic (not an artifact, or the header is corrupt)");
+/// Index of section \p id in the table; throws when the package needs it
+/// and the artifact lacks it.
+std::size_t find_section(const ArtifactHeader& h, std::uint32_t id) {
+  for (std::size_t i = 0; i < h.sections.size(); ++i) {
+    if (h.sections[i].id == id) return i;
   }
-  h.meta.format_version = r.u32();
-  if (h.meta.format_version != kArtifactFormatVersion) {
-    reject("format version " + std::to_string(h.meta.format_version) +
-           " (this build reads version " +
-           std::to_string(kArtifactFormatVersion) + ")");
-  }
-  const std::uint8_t scheme = r.u8();
-  if (scheme > static_cast<std::uint8_t>(SchemeKind::kFullTable)) {
-    reject("unknown scheme kind in header");
-  }
-  h.meta.scheme = static_cast<SchemeKind>(scheme);
-  const std::uint8_t sampling = r.u8();
-  if (sampling > 1) reject("unknown sampling mode in header");
-  h.meta.sampling = static_cast<SamplingMode>(sampling);
-  h.meta.use_flat = r.u8() != 0;
-  const std::uint8_t lookup = r.u8();
-  if (lookup > 1) reject("unknown flat lookup layout in header");
-  h.meta.flat_lookup = static_cast<FlatLookup>(lookup);
-  h.meta.warm_started = r.u8() != 0;
-  h.meta.k = r.u32();
-  h.meta.n = r.u32();
-  h.meta.seed = r.u64();
-  h.meta.options_digest = r.u64();
-  h.meta.graph_digest = r.u64();
-  h.meta.generation = r.u64();
-  h.meta.build_host = r.str();
-  const std::uint32_t nsec = r.u32();
-  if (nsec == 0 || nsec > kMaxSections) {
-    reject("implausible section count in header");
-  }
-  h.sections.resize(nsec);
-  for (Section& s : h.sections) {
-    s.id = r.u32();
-    s.offset = r.u64();
-    s.size = r.u64();
-    s.crc = r.u32();
-  }
-  const std::uint64_t crc_at = r.offset();
-  const std::uint32_t header_crc = r.u32();
-  if (crc32c(bytes.data(), crc_at) != header_crc) {
-    reject("header checksum mismatch (torn or corrupted header)");
-  }
-  h.header_bytes = r.offset();
-
-  // Geometry: sections are laid out back to back between the header and
-  // the 4-byte whole-file CRC trailer. Anything else — overlap, gaps,
-  // duplicated sections, a table pointing past the end — is rejected
-  // here so no later stage computes an out-of-bounds slice.
-  if (bytes.size() < h.header_bytes + 4) reject("no room for the file trailer");
-  std::uint64_t expect = h.header_bytes;
-  std::uint32_t seen_ids = 0;
-  for (const Section& s : h.sections) {
-    if (s.id == 0 || s.id > 31) reject("unknown section id in table");
-    if (seen_ids & (1u << s.id)) {
-      reject(std::string("duplicated section ") + section_name(s.id));
-    }
-    seen_ids |= 1u << s.id;
-    if (s.offset != expect) reject("section table is not contiguous");
-    if (s.size > bytes.size() - 4 - s.offset) {
-      reject("section table points past the end of the file");
-    }
-    expect = s.offset + s.size;
-  }
-  if (expect != bytes.size() - 4) {
-    reject("payload size disagrees with the section table");
-  }
-  return h;
+  reject(std::string("missing required section ") + section_name(id));
 }
 
-void verify_file_crc(std::string_view bytes) {
-  std::uint32_t file_crc;
-  std::memcpy(&file_crc, bytes.data() + bytes.size() - 4, 4);
-  if (crc32c(bytes.data(), bytes.size() - 4) != file_crc) {
-    reject("whole-file checksum mismatch (torn or truncated artifact)");
-  }
-}
-
-const Section* find_section(const ParsedHeader& h, std::uint32_t id) {
-  for (const Section& s : h.sections) {
-    if (s.id == id) return &s;
-  }
-  return nullptr;
-}
-
-std::string_view section_bytes(std::string_view bytes, const ParsedHeader& h,
-                               std::uint32_t id) {
-  const Section* s = find_section(h, id);
-  if (s == nullptr) {
-    reject(std::string("missing required section ") + section_name(id));
-  }
-  // Localize corruption: the per-section sum says WHICH section rotted,
-  // where the whole-file sum only says "something did".
-  if (crc32c(bytes.data() + s->offset, s->size) != s->crc) {
+/// A reader over section \p id, after checking its recorded CRC against
+/// the one verify_artifact computed. The per-section sum says WHICH
+/// section rotted, where the whole-file sum only says "something did".
+SpanReader section_reader(const VerifiedArtifact& a, std::uint32_t id) {
+  const std::size_t i = find_section(a.header(), id);
+  const ArtifactSection& s = a.header().sections[i];
+  if (a.section_crcs()[i] != s.crc) {
     reject(std::string("section ") + section_name(id) +
            " checksum mismatch (payload corrupted at bytes [" +
-           std::to_string(s->offset) + ", " +
-           std::to_string(s->offset + s->size) + "))");
+           std::to_string(s.offset) + ", " +
+           std::to_string(s.offset + s.size) + "))");
   }
-  return bytes.substr(s->offset, s->size);
+  return SpanReader(a.bytes().substr(s.offset, s.size), s.offset);
 }
 
 }  // namespace
@@ -631,29 +462,6 @@ std::string encode_package(const SchemePackage& pkg,
     throw std::invalid_argument("encode_package: " + why);
   }
 
-  std::vector<std::pair<std::uint32_t, std::string>> payloads;
-  payloads.emplace_back(kSecGraph, encode_graph_section(*pkg.graph));
-  if (pkg.tz != nullptr) {
-    std::ostringstream os(std::ios::binary);
-    save_scheme(os, *pkg.tz);
-    payloads.emplace_back(kSecTZ, std::move(os).str());
-  }
-  const auto pooled = [&](std::uint32_t id, const auto& view, auto encode) {
-    std::ostringstream os(std::ios::binary);
-    BinaryWriter w(os);
-    encode(w, view);
-    payloads.emplace_back(id, std::move(os).str());
-  };
-  if (pkg.flat != nullptr) {
-    pooled(kSecFlatTZ, *pkg.flat, ArtifactCodec::encode_flat);
-  }
-  if (pkg.flat_cowen != nullptr) {
-    pooled(kSecFlatCowen, *pkg.flat_cowen, ArtifactCodec::encode_cowen);
-  }
-  if (pkg.flat_full != nullptr) {
-    pooled(kSecFlatFull, *pkg.flat_full, ArtifactCodec::encode_full);
-  }
-
   ArtifactMeta meta;
   meta.format_version = kArtifactFormatVersion;
   meta.scheme = pkg.options.scheme;
@@ -669,64 +477,177 @@ std::string encode_package(const SchemePackage& pkg,
   meta.generation = generation;
   meta.build_host = isa_stamp();
 
-  std::vector<Section> sections(payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    sections[i].id = payloads[i].first;
-    sections[i].size = payloads[i].second.size();
-    sections[i].crc =
-        crc32c(payloads[i].second.data(), payloads[i].second.size());
+  // Size every section first: the header is then written once, with
+  // final offsets, and the sections go in place into one buffer.
+  std::vector<ArtifactSection> sections;
+  sections.push_back({kSecGraph, 0, graph_section_bytes(*pkg.graph), 0});
+  if (pkg.tz != nullptr) {
+    sections.push_back({kSecTZ, 0, scheme_encoded_size(*pkg.tz), 0});
+  }
+  if (pkg.flat != nullptr) {
+    sections.push_back(
+        {kSecFlatTZ, 0, ArtifactCodec::flat_bytes(*pkg.flat), 0});
+  }
+  if (pkg.flat_cowen != nullptr) {
+    sections.push_back(
+        {kSecFlatCowen, 0, ArtifactCodec::cowen_bytes(*pkg.flat_cowen), 0});
+  }
+  if (pkg.flat_full != nullptr) {
+    sections.push_back(
+        {kSecFlatFull, 0, ArtifactCodec::full_bytes(*pkg.flat_full), 0});
+  }
+  const std::uint64_t header_bytes = header_size(meta, sections.size());
+  std::uint64_t end = header_bytes;
+  for (ArtifactSection& s : sections) {
+    s.offset = end;
+    end += s.size;
   }
 
-  // Two-pass header: the fields are fixed-width, so a dry run with zero
-  // offsets yields the exact header size, which fixes every offset.
-  std::ostringstream dry(std::ios::binary);
-  {
-    BinaryWriter w(dry);
-    write_header(w, meta, sections);
+  std::string out(end + 4, '\0');
+  for (ArtifactSection& s : sections) {
+    ByteWriter w(out.data() + s.offset, s.size);
+    switch (s.id) {
+      case kSecGraph: encode_graph_section(w, *pkg.graph); break;
+      case kSecTZ: save_scheme(w, *pkg.tz); break;
+      case kSecFlatTZ: ArtifactCodec::encode_flat(w, *pkg.flat); break;
+      case kSecFlatCowen:
+        ArtifactCodec::encode_cowen(w, *pkg.flat_cowen);
+        break;
+      case kSecFlatFull: ArtifactCodec::encode_full(w, *pkg.flat_full); break;
+    }
+    w.finish();
+    s.crc = crc32c(out.data() + s.offset, s.size);
   }
-  const std::uint64_t header_size = dry.str().size() + 4;  // + header CRC
-  std::uint64_t off = header_size;
-  for (Section& s : sections) {
-    s.offset = off;
-    off += s.size;
-  }
-  std::ostringstream hs(std::ios::binary);
-  {
-    BinaryWriter w(hs);
-    write_header(w, meta, sections);
-  }
-  std::string header = std::move(hs).str();
-  const std::uint32_t header_crc = crc32c(header.data(), header.size());
-  header.append(reinterpret_cast<const char*>(&header_crc), 4);
+  ByteWriter w(out.data(), header_bytes);
+  write_header(w, meta, sections);
+  w.u32(crc32c(out.data(), w.offset()));
+  w.finish();
 
-  std::string out;
-  out.reserve(off + 4);
-  out += header;
-  for (const auto& [id, body] : payloads) out += body;
-  const std::uint32_t file_crc = crc32c(out.data(), out.size());
-  out.append(reinterpret_cast<const char*>(&file_crc), 4);
+  // The whole-file CRC follows from the header's and the sections' sums:
+  // no second pass over the payload.
+  std::uint32_t file_crc = crc32c(out.data(), header_bytes);
+  for (const ArtifactSection& s : sections) {
+    file_crc = crc32c_combine(file_crc, s.crc, s.size);
+  }
+  ByteWriter trailer(out.data() + end, 4);
+  trailer.u32(file_crc);
   return out;
 }
 
-ArtifactMeta read_artifact_meta(std::string_view bytes) {
-  ParsedHeader h = parse_header(bytes);
-  verify_file_crc(bytes);
-  return std::move(h.meta);
+ArtifactHeader read_artifact_header(std::string_view bytes) {
+  SpanReader r(bytes);
+  ArtifactHeader h;
+  const std::uint64_t magic = r.u64();
+  if (magic != kMagic) {
+    reject("bad magic (not an artifact, or the header is corrupt)");
+  }
+  h.meta.format_version = r.u32();
+  if (h.meta.format_version != kArtifactFormatVersion) {
+    reject("format version " + std::to_string(h.meta.format_version) +
+           " (this build reads version " +
+           std::to_string(kArtifactFormatVersion) + ")");
+  }
+  const std::uint8_t scheme = r.u8();
+  if (scheme > static_cast<std::uint8_t>(SchemeKind::kFullTable)) {
+    reject("unknown scheme kind in header");
+  }
+  h.meta.scheme = static_cast<SchemeKind>(scheme);
+  const std::uint8_t sampling = r.u8();
+  if (sampling > 1) reject("unknown sampling mode in header");
+  h.meta.sampling = static_cast<SamplingMode>(sampling);
+  h.meta.use_flat = r.u8() != 0;
+  const std::uint8_t lookup = r.u8();
+  if (lookup > 1) reject("unknown flat lookup layout in header");
+  h.meta.flat_lookup = static_cast<FlatLookup>(lookup);
+  h.meta.warm_started = r.u8() != 0;
+  h.meta.k = r.u32();
+  h.meta.n = r.u32();
+  h.meta.seed = r.u64();
+  h.meta.options_digest = r.u64();
+  h.meta.graph_digest = r.u64();
+  h.meta.generation = r.u64();
+  h.meta.build_host = r.str(kMaxHostLen);
+  const std::uint32_t nsec = r.u32();
+  if (nsec == 0 || nsec > kMaxSections) {
+    reject("implausible section count in header");
+  }
+  h.sections.resize(nsec);
+  for (ArtifactSection& s : h.sections) {
+    s.id = r.u32();
+    s.offset = r.u64();
+    s.size = r.u64();
+    s.crc = r.u32();
+  }
+  const std::uint64_t crc_at = r.offset();
+  const std::uint32_t header_crc = r.u32();
+  if (crc32c(bytes.data(), crc_at) != header_crc) {
+    reject("header checksum mismatch (torn or corrupted header)");
+  }
+  h.header_bytes = r.offset();
+
+  // Geometry: sections are laid out back to back between the header and
+  // the 4-byte whole-file CRC trailer. Anything else — overlap, gaps,
+  // duplicated sections, a table pointing past the end — is rejected
+  // here so no later stage computes an out-of-bounds slice.
+  if (bytes.size() < h.header_bytes + 4) reject("no room for the file trailer");
+  std::uint64_t expect = h.header_bytes;
+  std::uint32_t seen_ids = 0;
+  for (const ArtifactSection& s : h.sections) {
+    if (s.id == 0 || s.id > 31) reject("unknown section id in table");
+    if (seen_ids & (1u << s.id)) {
+      reject(std::string("duplicated section ") + section_name(s.id));
+    }
+    seen_ids |= 1u << s.id;
+    if (s.offset != expect) reject("section table is not contiguous");
+    if (s.size > bytes.size() - 4 - s.offset) {
+      reject("section table points past the end of the file");
+    }
+    expect = s.offset + s.size;
+  }
+  if (expect != bytes.size() - 4) {
+    reject("payload size disagrees with the section table");
+  }
+  return h;
 }
 
-SchemePackagePtr decode_package(std::string_view bytes,
+VerifiedArtifact verify_artifact(std::string_view bytes,
+                                 ArtifactHeader header) {
+  // The geometry check made the sections tile [header_bytes, size - 4),
+  // so combining the header's sum with one pass per section yields the
+  // CRC of every byte before the trailer — each byte read once.
+  VerifiedArtifact a;
+  a.crcs_.reserve(header.sections.size());
+  std::uint32_t file_crc = crc32c(bytes.data(), header.header_bytes);
+  for (const ArtifactSection& s : header.sections) {
+    a.crcs_.push_back(crc32c(bytes.data() + s.offset, s.size));
+    file_crc = crc32c_combine(file_crc, a.crcs_.back(), s.size);
+  }
+  std::uint32_t trailer;
+  std::memcpy(&trailer, bytes.data() + bytes.size() - 4, 4);
+  if (file_crc != trailer) {
+    reject("whole-file checksum mismatch (torn or truncated artifact)");
+  }
+  a.bytes_ = bytes;
+  a.header_ = std::move(header);
+  return a;
+}
+
+ArtifactMeta read_artifact_meta(std::string_view bytes) {
+  return verify_artifact(bytes, read_artifact_header(bytes)).header().meta;
+}
+
+SchemePackagePtr decode_package(const VerifiedArtifact& artifact,
                                 const RouteServiceOptions& serving,
                                 ArtifactMeta* meta_out) {
   using clock = std::chrono::steady_clock;
   const auto begin = clock::now();
 
-  const ParsedHeader h = parse_header(bytes);
-  verify_file_crc(bytes);
-  if (h.meta.scheme != serving.scheme) {
-    reject(std::string("built for scheme '") + scheme_name(h.meta.scheme) +
+  const ArtifactMeta& meta = artifact.header().meta;
+  if (meta.scheme != serving.scheme) {
+    reject(std::string("built for scheme '") + scheme_name(meta.scheme) +
            "', service runs '" + scheme_name(serving.scheme) + "'");
   }
-  if (h.meta.options_digest != content_options_digest(serving)) {
+  if (meta.options_digest != content_options_digest(serving)) {
     reject(
         "built under different construction options (digest mismatch: "
         "k/sampling/seed/use_flat/flat_lookup changed) — refusing to serve "
@@ -739,12 +660,11 @@ SchemePackagePtr decode_package(std::string_view bytes,
   // build's bytes on (graph, seed), so it can anchor incremental rebuilds
   // — unless the artifact itself came from a warm-started build, whose
   // preprocessing is not a function of the seed.
-  pkg->options.warm_start_path = h.meta.warm_started ? "(artifact)" : "";
+  pkg->options.warm_start_path = meta.warm_started ? "(artifact)" : "";
 
-  const Section* graph_sec = find_section(h, kSecGraph);
-  const std::string_view graph_bytes = section_bytes(bytes, h, kSecGraph);
-  pkg->graph = decode_graph_section(graph_bytes, graph_sec->offset);
-  if (graph_fingerprint(*pkg->graph) != h.meta.graph_digest) {
+  SpanReader graph_reader = section_reader(artifact, kSecGraph);
+  pkg->graph = decode_graph_section(graph_reader);
+  if (graph_fingerprint(*pkg->graph) != meta.graph_digest) {
     reject("graph payload does not match its recorded fingerprint");
   }
   const Graph& g = *pkg->graph;
@@ -752,14 +672,10 @@ SchemePackagePtr decode_package(std::string_view bytes,
   const bool is_tz = serving.scheme == SchemeKind::kTZDirect ||
                      serving.scheme == SchemeKind::kTZHandshake;
   if (is_tz) {
-    const std::string_view tz_bytes = section_bytes(bytes, h, kSecTZ);
-    MemBuf buf(tz_bytes.data(), tz_bytes.size());
-    std::istream is(&buf);
-    pkg->tz = std::make_unique<const TZScheme>(load_scheme(is, g));
+    SpanReader tz_reader = section_reader(artifact, kSecTZ);
+    pkg->tz = std::make_unique<const TZScheme>(load_scheme(tz_reader, g));
     if (serving.use_flat) {
-      const Section* sec = find_section(h, kSecFlatTZ);
-      const std::string_view fb = section_bytes(bytes, h, kSecFlatTZ);
-      SpanReader r(fb, sec->offset);
+      SpanReader r = section_reader(artifact, kSecFlatTZ);
       pkg->flat = ArtifactCodec::decode_flat(r, *pkg->tz);
       if (pkg->flat->lookup_kind() != serving.flat_lookup) {
         reject("FLAT_TZ: pooled lookup layout disagrees with the header");
@@ -771,22 +687,25 @@ SchemePackagePtr decode_package(std::string_view bytes,
           g, SimOptions{0, serving.record_paths});
     }
   } else if (serving.scheme == SchemeKind::kCowen) {
-    const Section* sec = find_section(h, kSecFlatCowen);
-    const std::string_view cb = section_bytes(bytes, h, kSecFlatCowen);
-    SpanReader r(cb, sec->offset);
+    SpanReader r = section_reader(artifact, kSecFlatCowen);
     pkg->flat_cowen = ArtifactCodec::decode_cowen(r, g);
   } else {
-    const Section* sec = find_section(h, kSecFlatFull);
-    const std::string_view fb = section_bytes(bytes, h, kSecFlatFull);
-    SpanReader r(fb, sec->offset);
+    SpanReader r = section_reader(artifact, kSecFlatFull);
     pkg->flat_full = ArtifactCodec::decode_full(r, g);
   }
 
   pkg->incr_stats.fallback_reason = "recovered from artifact";
   pkg->build_seconds =
       std::chrono::duration<double>(clock::now() - begin).count();
-  if (meta_out != nullptr) *meta_out = h.meta;
+  if (meta_out != nullptr) *meta_out = meta;
   return pkg;
+}
+
+SchemePackagePtr decode_package(std::string_view bytes,
+                                const RouteServiceOptions& serving,
+                                ArtifactMeta* meta_out) {
+  return decode_package(verify_artifact(bytes, read_artifact_header(bytes)),
+                        serving, meta_out);
 }
 
 }  // namespace croute::persist

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "service/scheme_package.hpp"
 
@@ -82,23 +83,82 @@ std::uint64_t content_options_digest(const RouteServiceOptions& options);
 bool package_persistable(const SchemePackage& pkg, std::string* reason);
 
 /// Serializes \p pkg into artifact bytes (throws std::invalid_argument
-/// when !package_persistable).
+/// when !package_persistable). Every section is sized first, so the
+/// header is written once with final offsets and the sections are
+/// encoded in place into one exact-size buffer; each byte is written
+/// once and checksummed once.
 std::string encode_package(const SchemePackage& pkg,
                            std::uint64_t generation);
 
-/// Header-only validation: magic, format version, header CRC, whole-file
-/// CRC, section table sanity. Throws std::invalid_argument (with byte
-/// offsets) on anything torn or alien; does not touch payload decoding.
+/// One entry of the header's section table.
+struct ArtifactSection {
+  std::uint32_t id = 0;
+  std::uint64_t offset = 0;  ///< absolute, in the artifact
+  std::uint64_t size = 0;
+  std::uint32_t crc = 0;     ///< CRC32C recorded by the writer
+};
+
+/// The parsed header: metadata plus the section table, with the header
+/// CRC and the table's geometry (contiguous, in bounds, no duplicate ids)
+/// already checked. Payload bytes are not touched to produce it.
+struct ArtifactHeader {
+  ArtifactMeta meta;
+  std::vector<ArtifactSection> sections;
+  std::uint64_t header_bytes = 0;  ///< header size incl. its CRC
+};
+
+/// Stage 1, header only: magic, format version, field sanity, header CRC,
+/// section table geometry. Version skew and torn headers bounce here,
+/// before any payload byte is read. Throws std::invalid_argument.
+ArtifactHeader read_artifact_header(std::string_view bytes);
+
+/// Artifact bytes whose whole-file CRC has been verified. Only
+/// verify_artifact makes one; decode_package consumes it. \p bytes must
+/// outlive it.
+class VerifiedArtifact {
+ public:
+  std::string_view bytes() const noexcept { return bytes_; }
+  const ArtifactHeader& header() const noexcept { return header_; }
+  /// CRC32C of each section's bytes as found (index-aligned with
+  /// header().sections); decode compares them with the recorded ones.
+  const std::vector<std::uint32_t>& section_crcs() const noexcept {
+    return crcs_;
+  }
+
+ private:
+  friend VerifiedArtifact verify_artifact(std::string_view,
+                                          ArtifactHeader);
+  VerifiedArtifact() = default;
+  std::string_view bytes_;
+  ArtifactHeader header_;
+  std::vector<std::uint32_t> crcs_;
+};
+
+/// Stage 2: checksums every payload byte once (one CRC32C pass per
+/// section) and derives the whole-file CRC from the header and section
+/// sums with crc32c_combine. Throws std::invalid_argument when it
+/// disagrees with the trailer (torn or truncated artifact). Per-section
+/// mismatches are left to decode_package, which names the section.
+VerifiedArtifact verify_artifact(std::string_view bytes, ArtifactHeader header);
+
+/// Header validation plus the whole-file CRC (stages 1 and 2); does not
+/// decode payload.
 ArtifactMeta read_artifact_meta(std::string_view bytes);
 
-/// Full decode: verifies the header AND every section checksum, then
-/// reconstructs the package. Content options must match \p serving
-/// (digest equality); serving-only knobs are taken from \p serving. The
-/// returned package owns its graph and is indistinguishable from a fresh
-/// build_scheme_package on the same (graph, content options) — the
-/// byte-identity contract tests/test_persist.cpp pins. Throws
-/// std::invalid_argument on any mismatch or corruption; never crashes on
-/// hostile bytes (tests/test_fuzz.cpp's mutation corpus).
+/// Stage 3, full decode: checks content options against \p serving
+/// (digest equality; serving-only knobs are taken from \p serving) and
+/// every section checksum the package needs, then reconstructs the
+/// package. The returned package owns its graph and is
+/// indistinguishable from a fresh build_scheme_package on the same
+/// (graph, content options) — the byte-identity contract
+/// tests/test_persist.cpp pins. Throws std::invalid_argument on any
+/// mismatch or corruption; never crashes on hostile bytes
+/// (tests/test_fuzz.cpp's mutation corpus).
+SchemePackagePtr decode_package(const VerifiedArtifact& artifact,
+                                const RouteServiceOptions& serving,
+                                ArtifactMeta* meta_out = nullptr);
+
+/// All three stages over \p bytes.
 SchemePackagePtr decode_package(std::string_view bytes,
                                 const RouteServiceOptions& serving,
                                 ArtifactMeta* meta_out = nullptr);

@@ -18,6 +18,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/serialize.hpp"
 
 namespace croute::persist {
 
@@ -68,15 +69,6 @@ std::string generation_name(std::uint64_t gen) {
   return name;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open " + path);
-  std::ostringstream os;
-  os << is.rdbuf();
-  if (!is.good() && !is.eof()) throw std::runtime_error("cannot read " + path);
-  return std::move(os).str();
-}
-
 }  // namespace
 
 ArtifactStore::ArtifactStore(StoreOptions options, obs::MetricRegistry* metrics,
@@ -102,9 +94,15 @@ ArtifactStore::ArtifactStore(StoreOptions options, obs::MetricRegistry* metrics,
         "artifact publishes that failed (service kept serving from memory)");
     bytes_written_ = &metrics->counter("croute_persist_bytes_written_total",
                                        "artifact bytes written (pre-fsync)");
+    read_us_ = &metrics->histogram(
+        "croute_persist_read_us",
+        "artifact file read wall time of a successful recovery");
     verify_us_ = &metrics->histogram(
         "croute_persist_verify_us",
-        "read + verify + decode wall time of a successful recovery");
+        "header + checksum verify wall time of a successful recovery");
+    decode_us_ = &metrics->histogram(
+        "croute_persist_decode_us",
+        "payload decode wall time of a successful recovery");
   }
   last_published_ = newest_generation();
 }
@@ -318,21 +316,36 @@ RecoverResult ArtifactStore::recover_newest(const RouteServiceOptions& serving,
   }
   for (const std::string& name : candidates) {
     const std::string path = options_.dir + "/" + name;
-    const auto t0 = clock::now();
     try {
+      obs::TraceRecorder::Span read(trace_, "artifact_read", "persist");
+      auto t = clock::now();
+      const FileBytes file = read_file_bytes(path);
+      read.finish();
+      const double read_s = seconds_since(t);
+
       obs::TraceRecorder::Span verify(trace_, "artifact_verify", "persist");
-      const std::string bytes = read_file(path);
-      // Header-only pass first: version skew and torn files bounce here,
-      // before any payload decoding.
-      const ArtifactMeta meta = read_artifact_meta(bytes);
-      if (meta.n != expected_n) {
+      t = clock::now();
+      // Header-only bounce first: version skew, torn headers and a wrong
+      // vertex count are rejected before any payload byte is checksummed
+      // or decoded.
+      ArtifactHeader header = read_artifact_header(file.view());
+      if (header.meta.n != expected_n) {
         throw std::invalid_argument(
-            "artifact: built for n=" + std::to_string(meta.n) +
+            "artifact: built for n=" + std::to_string(header.meta.n) +
             ", service generates n=" + std::to_string(expected_n));
       }
-      out.package = decode_package(bytes, serving, &out.meta);
+      const VerifiedArtifact artifact =
+          verify_artifact(file.view(), std::move(header));
       verify.finish();
-      out.verify_s = seconds_since(t0);
+      const double verify_s = seconds_since(t);
+
+      obs::TraceRecorder::Span decode(trace_, "artifact_decode", "persist");
+      t = clock::now();
+      out.package = decode_package(artifact, serving, &out.meta);
+      decode.finish();
+      out.read_s = read_s;
+      out.verify_s = verify_s;
+      out.decode_s = seconds_since(t);
       out.path = path;
       out.note = "recovered generation " + std::to_string(out.meta.generation) +
                  " from " + name;
@@ -342,7 +355,11 @@ RecoverResult ArtifactStore::recover_newest(const RouteServiceOptions& serving,
                     (out.rejected.size() == 1 ? ")" : "s)");
       }
       if (recovered_ != nullptr) recovered_->inc();
-      if (verify_us_ != nullptr) verify_us_->record(0, out.verify_s * 1e6);
+      if (read_us_ != nullptr) {
+        read_us_->record(0, out.read_s * 1e6);
+        verify_us_->record(0, out.verify_s * 1e6);
+        decode_us_->record(0, out.decode_s * 1e6);
+      }
       span.arg("generation", static_cast<double>(out.meta.generation));
       span.arg("rejected", static_cast<double>(out.rejected.size()));
       return out;

@@ -15,8 +15,10 @@
 ///    and swept on the next publish.
 ///  - **recover**: try the MANIFEST's live artifact, then its backup,
 ///    then every `scheme-*.art` in the directory newest-first. Each
-///    candidate is fully verified (header CRC, whole-file CRC, section
-///    CRCs, fingerprints, options digest) before it may serve; every
+///    candidate is read with one sized read, bounced on its header alone
+///    when it cannot fit (version skew, torn header, wrong n), then fully
+///    verified (whole-file CRC, section CRCs, fingerprints, options
+///    digest) before it may serve; every
 ///    rejection is *recorded, not thrown* — a corrupt store degrades to
 ///    a fresh preprocessing run with a reason string, never a crash.
 ///
@@ -70,7 +72,9 @@ struct RecoverResult {
   SchemePackagePtr package;
   ArtifactMeta meta;                  ///< of the recovered artifact
   std::string path;                   ///< file that served (when recovered)
-  double verify_s = 0;                ///< read + verify + decode wall time
+  double read_s = 0;    ///< one sized read of the artifact file
+  double verify_s = 0;  ///< header checks + one CRC32C pass over the payload
+  double decode_s = 0;  ///< payload decode into a serving package
   std::vector<std::string> rejected;  ///< "file: reason" per rejected candidate
   std::string note;                   ///< one-line human-readable outcome
 };
@@ -126,7 +130,9 @@ class ArtifactStore {
   obs::Counter* rejected_ = nullptr;
   obs::Counter* publish_failures_ = nullptr;
   obs::Counter* bytes_written_ = nullptr;
+  obs::LogHistogram* read_us_ = nullptr;
   obs::LogHistogram* verify_us_ = nullptr;
+  obs::LogHistogram* decode_us_ = nullptr;
 };
 
 }  // namespace croute::persist

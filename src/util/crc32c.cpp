@@ -53,6 +53,30 @@ std::uint32_t crc32c_table(const std::uint8_t* p, std::size_t len,
   return crc;
 }
 
+/// a·b modulo the polynomial, both in the reflected bit order (bit 31 is
+/// x^0): the GF(2) product behind crc32c_combine.
+constexpr std::uint32_t mul_mod_p(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1) != 0 ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return product;
+}
+
+/// kX2n[k] = x^(2^k) mod P, so x^n mod P is a product over n's set bits.
+constexpr std::array<std::uint32_t, 64> make_x2n() {
+  std::array<std::uint32_t, 64> t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  for (std::uint32_t& e : t) {
+    e = p;
+    p = mul_mod_p(p, p);
+  }
+  return t;
+}
+
+constexpr auto kX2n = make_x2n();
+
 #if defined(__x86_64__) || defined(__i386__)
 
 /// Hardware path: the SSE4.2 `crc32` instruction via builtins, so this
@@ -104,6 +128,17 @@ std::uint32_t crc32c(const void* bytes, std::size_t len,
   if (have_sse42()) return ~crc32c_hw(p, len, crc);
 #endif
   return ~crc32c_table(p, len, crc);
+}
+
+std::uint32_t crc32c_combine(std::uint32_t crc1, std::uint32_t crc2,
+                             std::uint64_t len2) noexcept {
+  // Appending len2 bytes multiplies A's register by x^(8·len2); the
+  // entry/exit inversions cancel between the two parts.
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (unsigned k = 3; len2 != 0; len2 >>= 1, ++k) {
+    if ((len2 & 1) != 0) shift = mul_mod_p(kX2n[k], shift);
+  }
+  return mul_mod_p(shift, crc1) ^ crc2;
 }
 
 const char* crc32c_backend() noexcept {

@@ -24,6 +24,13 @@ namespace croute {
 std::uint32_t crc32c(const void* bytes, std::size_t len,
                      std::uint32_t seed = 0) noexcept;
 
+/// CRC32C of the concatenation A·B, given crc1 = CRC32C(A), crc2 =
+/// CRC32C(B) and len2 = |B| — O(log len2), no bytes touched. Lets a
+/// container derive its whole-file sum from its per-part sums, so every
+/// byte is checksummed once.
+std::uint32_t crc32c_combine(std::uint32_t crc1, std::uint32_t crc2,
+                             std::uint64_t len2) noexcept;
+
 /// Which backend the dispatch selected: "sse4.2" or "table". Stamped into
 /// artifact metadata so a verify failure report can say what computed the
 /// stored sums.

@@ -1,152 +1,190 @@
 /// \file serialize.hpp
-/// \brief Minimal binary (de)serialization for persisting schemes.
+/// \brief Binary (de)serialization over memory for persisting schemes.
 ///
 /// Fixed little-endian layout, explicit sizes, a magic/version header per
 /// top-level object, and fail-loud reads (std::invalid_argument on
-/// truncation or corruption). Both ends track the byte offset consumed or
-/// produced so far, and every failure message carries it — a truncated or
-/// bit-flipped stream reports *where* it died, which is what makes the
-/// persistence tier's corruption diagnostics actionable. Used by
-/// core/scheme_io and src/persist to persist preprocessed routing schemes
-/// so that routers can load tables instead of re-running preprocessing.
+/// truncation or corruption). One writer and one reader serve every
+/// encoder in the tree (core/scheme_io, src/persist):
+///
+///  - ByteWriter memcpys into a caller-sized buffer. Encoders compute
+///    their exact size first (sizes are arithmetic over vector lengths —
+///    see vec_bytes), so an artifact is allocated once and every byte is
+///    written once. Writing past the buffer, or finishing short of it,
+///    throws std::logic_error: a size function that disagrees with its
+///    encoder is a library bug, caught on the first encode.
+///  - SpanReader is bounds-checked over a byte span; payload arrays are
+///    memcpy'd straight out of it, and every failure carries the absolute
+///    byte offset where it died — a truncated or bit-flipped input
+///    reports *where*, which is what makes the persistence tier's
+///    corruption diagnostics actionable.
 
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <istream>
-#include <ostream>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
-
-#include "util/assert.hpp"
 
 namespace croute {
 
-/// Streaming binary writer (little-endian scalars, length-prefixed arrays).
-class BinaryWriter {
+static_assert(std::endian::native == std::endian::little,
+              "big-endian hosts need byte swaps in serialize.hpp");
+
+/// Encoded size of a length-prefixed array (the vec_* layout: u64 count,
+/// then the elements verbatim).
+template <typename T>
+constexpr std::uint64_t vec_bytes(const std::vector<T>& v) noexcept {
+  return 8 + v.size() * sizeof(T);
+}
+
+/// Encoded size of a length-prefixed string (u32 length, then the bytes).
+constexpr std::uint64_t str_bytes(std::string_view s) noexcept {
+  return 4 + s.size();
+}
+
+/// Writer into a caller-sized buffer (little-endian scalars,
+/// length-prefixed arrays).
+class ByteWriter {
  public:
-  explicit BinaryWriter(std::ostream& os) : os_(&os) {}
+  ByteWriter(char* dst, std::uint64_t size) : dst_(dst), size_(size) {}
 
   void u8(std::uint8_t v) { raw(&v, 1); }
-  void u32(std::uint32_t v) { scalar(v); }
-  void u64(std::uint64_t v) { scalar(v); }
+  void u32(std::uint32_t v) { raw(&v, 4); }
+  void u64(std::uint64_t v) { raw(&v, 8); }
   void f64(double v) {
     static_assert(sizeof(double) == 8);
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    scalar(bits);
+    raw(&v, 8);
   }
 
   template <typename T>
   void vec_u32(const std::vector<T>& v) {
     static_assert(sizeof(T) == 4);
-    u64(v.size());
-    if (!v.empty()) raw(v.data(), v.size() * 4);
+    vec(v);
   }
-  void vec_u64(const std::vector<std::uint64_t>& v) {
-    u64(v.size());
-    if (!v.empty()) raw(v.data(), v.size() * 8);
-  }
-  void vec_f64(const std::vector<double>& v) {
-    u64(v.size());
-    if (!v.empty()) raw(v.data(), v.size() * 8);
+  void vec_u64(const std::vector<std::uint64_t>& v) { vec(v); }
+  void vec_f64(const std::vector<double>& v) { vec(v); }
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    raw(s.data(), s.size());
   }
 
-  /// Bytes written so far (error messages and section-offset accounting).
-  std::uint64_t offset() const noexcept { return offset_; }
+  /// Bytes written so far.
+  std::uint64_t offset() const noexcept { return pos_; }
+
+  /// Asserts the buffer is exactly full: the size function and the
+  /// encoder agree.
+  void finish() const {
+    if (pos_ != size_) size_mismatch(0);
+  }
 
  private:
   template <typename T>
-  void scalar(T v) {
-    static_assert(std::endian::native == std::endian::little,
-                  "big-endian hosts need byte swaps here");
-    raw(&v, sizeof v);
+  void vec(const std::vector<T>& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    u64(v.size());
+    raw(v.data(), v.size() * sizeof(T));
   }
-  void raw(const void* p, std::size_t bytes) {
-    os_->write(static_cast<const char*>(p),
-               static_cast<std::streamsize>(bytes));
-    CROUTE_REQUIRE(os_->good(),
-                   "write failed at byte offset " + std::to_string(offset_));
-    offset_ += bytes;
+  void raw(const void* p, std::uint64_t bytes) {
+    if (bytes > size_ - pos_) size_mismatch(bytes);
+    if (bytes != 0) std::memcpy(dst_ + pos_, p, bytes);
+    pos_ += bytes;
   }
-  std::ostream* os_;
-  std::uint64_t offset_ = 0;
+  [[noreturn]] void size_mismatch(std::uint64_t wanted) const;
+
+  char* dst_;
+  std::uint64_t size_;
+  std::uint64_t pos_ = 0;
 };
 
-/// Streaming binary reader; throws std::invalid_argument on short reads.
-class BinaryReader {
+/// Bounds-checked little-endian reader over a byte span; throws
+/// std::invalid_argument (with the absolute byte offset) on anything
+/// truncated or implausible, never reads out of bounds.
+class SpanReader {
  public:
-  explicit BinaryReader(std::istream& is) : is_(&is) {}
+  /// \p base_offset is the absolute offset of bytes[0] in the enclosing
+  /// file, so a reader over one artifact section reports file offsets.
+  explicit SpanReader(std::string_view bytes, std::uint64_t base_offset = 0)
+      : data_(bytes.data()), size_(bytes.size()), base_(base_offset) {}
 
-  std::uint8_t u8() {
-    std::uint8_t v;
-    raw(&v, 1);
-    return v;
-  }
+  std::uint64_t offset() const noexcept { return base_ + pos_; }
+  std::uint64_t remaining() const noexcept { return size_ - pos_; }
+
+  std::uint8_t u8() { return scalar<std::uint8_t>(); }
   std::uint32_t u32() { return scalar<std::uint32_t>(); }
   std::uint64_t u64() { return scalar<std::uint64_t>(); }
-  double f64() {
-    const std::uint64_t bits = scalar<std::uint64_t>();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
+  double f64() { return scalar<double>(); }
 
   template <typename T>
   std::vector<T> vec_u32() {
     static_assert(sizeof(T) == 4);
-    const std::uint64_t count = checked_count(4);
-    std::vector<T> v(count);
-    if (count > 0) raw(v.data(), count * 4);
-    return v;
+    return vec<T>();
   }
-  std::vector<std::uint64_t> vec_u64() {
-    const std::uint64_t count = checked_count(8);
-    std::vector<std::uint64_t> v(count);
-    if (count > 0) raw(v.data(), count * 8);
-    return v;
-  }
-  std::vector<double> vec_f64() {
-    const std::uint64_t count = checked_count(8);
-    std::vector<double> v(count);
-    if (count > 0) raw(v.data(), count * 8);
-    return v;
+  std::vector<std::uint64_t> vec_u64() { return vec<std::uint64_t>(); }
+  std::vector<double> vec_f64() { return vec<double>(); }
+
+  /// A u64 element count for records of \p elem_bytes each. A hostile
+  /// count must fail here, not in operator new: the remaining span bounds
+  /// what any honest count can be.
+  std::uint64_t count(std::uint64_t elem_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / elem_bytes) implausible(8, "array length");
+    return n;
   }
 
-  /// Bytes consumed so far. Failure messages carry this, so "truncated
-  /// stream at byte 80481" points a corruption report at the section that
-  /// died instead of at "somewhere".
-  std::uint64_t offset() const noexcept { return offset_; }
+  /// A length-prefixed string of at most \p max_len bytes.
+  std::string str(std::uint32_t max_len) {
+    const std::uint32_t len = u32();
+    if (len > max_len) implausible(4, "string length");
+    need(len);
+    std::string s(data_ + pos_, len);
+    pos_ += len;
+    return s;
+  }
 
  private:
   template <typename T>
   T scalar() {
-    static_assert(std::endian::native == std::endian::little,
-                  "big-endian hosts need byte swaps here");
+    need(sizeof(T));
     T v;
-    raw(&v, sizeof v);
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
     return v;
   }
-  std::uint64_t checked_count(std::uint64_t elem_bytes) {
-    const std::uint64_t count = u64();
-    // Guard against hostile/corrupt length prefixes.
-    CROUTE_REQUIRE(count < (std::uint64_t{1} << 40) / elem_bytes,
-                   "implausible array length in stream at byte offset " +
-                       std::to_string(offset_ - 8));
-    return count;
+  template <typename T>
+  std::vector<T> vec() {
+    const std::uint64_t n = count(sizeof(T));
+    std::vector<T> v(n);
+    if (n > 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+    return v;
   }
-  void raw(void* p, std::size_t bytes) {
-    is_->read(static_cast<char*>(p), static_cast<std::streamsize>(bytes));
-    CROUTE_REQUIRE(is_->gcount() == static_cast<std::streamsize>(bytes),
-                   "truncated stream at byte offset " +
-                       std::to_string(offset_) + " (wanted " +
-                       std::to_string(bytes) + " more bytes)");
-    offset_ += bytes;
+  void need(std::uint64_t bytes) {
+    if (bytes > remaining()) truncated(bytes);
   }
-  std::istream* is_;
-  std::uint64_t offset_ = 0;
+  [[noreturn]] void truncated(std::uint64_t wanted) const;
+  [[noreturn]] void implausible(std::uint64_t back, const char* what) const;
+
+  const char* data_;
+  std::uint64_t size_;
+  std::uint64_t base_;
+  std::uint64_t pos_ = 0;
 };
+
+/// A whole file's bytes, read with one fstat-sized read: no stream
+/// buffering and no zero-fill of the destination.
+struct FileBytes {
+  std::unique_ptr<char[]> data;
+  std::uint64_t size = 0;
+  std::string_view view() const noexcept { return {data.get(), size}; }
+};
+
+/// Reads \p path whole. Throws std::invalid_argument when the file cannot
+/// be opened, or reads short of its fstat size.
+FileBytes read_file_bytes(const std::string& path);
 
 }  // namespace croute

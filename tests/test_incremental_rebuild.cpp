@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,11 +27,7 @@
 namespace croute {
 namespace {
 
-std::string scheme_bytes(const TZScheme& s) {
-  std::ostringstream os;
-  save_scheme(os, s);
-  return os.str();
-}
+std::string scheme_bytes(const TZScheme& s) { return save_scheme(s); }
 
 struct DeltaCase {
   const char* name;

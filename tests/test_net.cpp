@@ -17,11 +17,13 @@
 #include <vector>
 
 #include "core/flat_scheme.hpp"
+#include "graph/delta.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "service/route_service.hpp"
 #include "sim/experiment.hpp"
 #include "util/bit_io.hpp"
@@ -629,6 +631,33 @@ TEST(NetServe, AdmissionControlRejectsOverload) {
   });
 }
 
+/// A raw TCP connection to 127.0.0.1:\p port (no HELLO: the server
+/// speaks the current version until one negotiates otherwise).
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Blocks until one whole frame arrives on \p fd; false on EOF.
+bool read_frame(int fd, FrameDecoder& dec, Frame& f) {
+  while (!dec.next(f)) {
+    std::uint8_t buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) return false;
+    dec.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
+  }
+  return true;
+}
+
 TEST(NetServe, FramingErrorDropsConnectionLoudly) {
   // A reserved type byte on the raw socket must draw ERROR kErrMalformed
   // ("framing error: ...") followed by connection close — framing errors
@@ -636,14 +665,8 @@ TEST(NetServe, FramingErrorDropsConnectionLoudly) {
   NetFixture fx;
   RouteService service(fx.g, fx.options(SchemeKind::kTZDirect));
   with_server(service, {}, [&](net::NetClient&, net::NetServer& server) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int fd = raw_connect(server.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-              0);
     const std::uint8_t poison[] = {0xB0, 0x00};  // reserved type
     ASSERT_EQ(::send(fd, poison, sizeof poison, 0),
               static_cast<ssize_t>(sizeof poison));
@@ -678,6 +701,138 @@ TEST(NetServe, FramingErrorDropsConnectionLoudly) {
     EXPECT_TRUE(got_error);
     EXPECT_TRUE(got_eof);
   });
+}
+
+TEST(NetServe, StaleLabelAfterHotSwapCostsOnlyItsOwnFrame) {
+  // A label fetched before a hot swap is structurally valid against the
+  // new generation's codec, so pre-validation passes it — but it can name
+  // pivots or light ports the new trees do not have, and the engine
+  // throws for the whole coalesced batch. Only the stale frame may pay
+  // for that.
+  NetFixture fx;
+  const VertexId n = fx.g.num_vertices();
+  const RouteServiceOptions opt = fx.options(SchemeKind::kTZDirect);
+  RouteService service(fx.g, opt);
+
+  const SchemePackagePtr before = service.package();
+  std::vector<net::OwnedLabel> labels(n);
+  for (VertexId t = 0; t < n; ++t) {
+    BitWriter w;
+    before->tz->label_codec().encode(before->tz->label(t), w);
+    labels[t] = {static_cast<std::uint32_t>(w.bit_size()), to_bytes(w)};
+  }
+  Rng delta_rng(3);
+  service.publish(build_scheme_package(
+      std::make_shared<const Graph>(perturb_graph(fx.g, delta_rng)), opt));
+
+  // Find a stale label the server's pre-validation accepts and the new
+  // generation's engine rejects.
+  const SchemePackagePtr after = service.package();
+  std::vector<FlatScheme::LabelEntryView> entries;
+  std::vector<Port> ports;
+  WireQuery stale{kNoVertex, kNoVertex, {}, 0};
+  for (VertexId t = 0; t < n && stale.s == kNoVertex; ++t) {
+    const BitWriter bw = from_bytes(labels[t].bytes, labels[t].bits);
+    BitReader r(bw);
+    entries.clear();
+    ports.clear();
+    if (decode_wire_label(after->tz->label_codec(), n, r, entries, ports) >=
+            n ||
+        r.position() != labels[t].bits) {
+      continue;
+    }
+    for (VertexId s = 0; s < n && stale.s == kNoVertex; s += 5) {
+      RouteRequest req;
+      req.s = s;
+      req.label = labels[t].bytes;
+      req.label_bits = labels[t].bits;
+      try {
+        service.route_collect(std::span<const RouteRequest>(&req, 1));
+      } catch (const std::logic_error&) {
+        stale = {s, kNoVertex, labels[t].bytes, labels[t].bits};
+      }
+    }
+  }
+  ASSERT_NE(stale.s, kNoVertex) << "no stale label trips this generation";
+
+  Rng rng(29);
+  std::vector<WireQuery> good(24);
+  std::vector<RouteQuery> expect_q(good.size());
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    const auto s = static_cast<VertexId>(rng.next_below(n));
+    const auto t = static_cast<VertexId>(rng.next_below(n));
+    good[i] = {s, t, {}, 0};
+    expect_q[i] = {s, t, kUnknownDistance};
+  }
+  const std::vector<RouteAnswer> expect =
+      service.route_collect(std::span<const RouteQuery>{expect_q});
+
+  // Both connections are loaded before the loop runs: its first pass
+  // accepts them, its second reads both frames, so they share one
+  // coalesced batch.
+  net::NetServer server(service, {});
+  const int stale_fd = raw_connect(server.port());
+  const int good_fd = raw_connect(server.port());
+  ASSERT_GE(stale_fd, 0);
+  ASSERT_GE(good_fd, 0);
+  const auto send_query = [](int fd, std::uint64_t req_id,
+                             std::span<const WireQuery> q, bool labeled) {
+    std::vector<std::uint8_t> payload;
+    net::encode_query(payload, req_id, q, labeled);
+    const std::vector<std::uint8_t> frame = make_frame(
+        static_cast<std::uint8_t>(labeled ? FrameType::kQueryL
+                                          : FrameType::kQueryV),
+        payload);
+    return ::send(fd, frame.data(), frame.size(), 0) ==
+           static_cast<ssize_t>(frame.size());
+  };
+  ASSERT_TRUE(send_query(stale_fd, 1, std::span<const WireQuery>(&stale, 1),
+                         true));
+  ASSERT_TRUE(send_query(good_fd, 2, good, false));
+  std::thread loop([&server] { server.run(); });
+
+  FrameDecoder stale_dec, good_dec;
+  Frame f;
+  const bool got_stale = read_frame(stale_fd, stale_dec, f);
+  std::uint32_t code = 0;
+  std::uint64_t req_id = 0;
+  std::string message;
+  const bool stale_is_error =
+      got_stale && f.type == static_cast<std::uint8_t>(FrameType::kError) &&
+      net::decode_error(f.payload, code, req_id, message);
+  const bool got_good = read_frame(good_fd, good_dec, f);
+  std::vector<WireAnswer> answers;
+  const bool good_is_answer =
+      got_good && f.type == static_cast<std::uint8_t>(FrameType::kAnswer) &&
+      net::decode_answer(f.payload, net::kProtocolVersion, req_id, answers);
+  server.stop();
+  loop.join();
+  ::close(stale_fd);
+  ::close(good_fd);
+
+  ASSERT_TRUE(stale_is_error);
+  EXPECT_EQ(code, net::kErrMalformed);
+  EXPECT_FALSE(message.empty());
+  ASSERT_TRUE(good_is_answer);
+  EXPECT_EQ(req_id, 2u);
+  ASSERT_EQ(answers.size(), expect.size());
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(answers[i].status, static_cast<std::uint8_t>(expect[i].status))
+        << i;
+    EXPECT_EQ(answers[i].hops, expect[i].hops) << i;
+    EXPECT_EQ(answers[i].header_bits, expect[i].header_bits) << i;
+  }
+  // The two frames were one batch, and only the stale frame was billed.
+  const obs::MetricRegistry* reg = service.metrics_registry();
+  ASSERT_NE(reg, nullptr);
+  const obs::Counter* isolated =
+      reg->find_counter("croute_net_isolated_batches_total");
+  const obs::Counter* rejected =
+      reg->find_counter("croute_net_rejected_frames_total");
+  ASSERT_NE(isolated, nullptr);
+  ASSERT_NE(rejected, nullptr);
+  EXPECT_EQ(isolated->value(), 1u);
+  EXPECT_EQ(rejected->value(), 1u);
 }
 
 // ---------------------------------------------------------------------

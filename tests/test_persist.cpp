@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -27,12 +28,14 @@
 #include "core/scheme_io.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "persist/artifact.hpp"
 #include "persist/artifact_store.hpp"
 #include "persist/fault_injection.hpp"
 #include "service/hot_swap.hpp"
 #include "service/route_service.hpp"
 #include "service/workload.hpp"
+#include "simd/simd.hpp"
 #include "sim/experiment.hpp"
 #include "util/crc32c.hpp"
 #include "util/random.hpp"
@@ -184,6 +187,67 @@ TEST(ArtifactRoundtrip, FKSLookupRoundtrips) {
   EXPECT_TRUE(persist::encode_package(*rt, 2) == bytes);
 }
 
+// --- on-disk format pin --------------------------------------------------
+
+/// Format-version-1 bytes as the stream-based codec wrote them, for
+/// ER n=200, k=3, seed 1, generation 1. A codec that re-encodes its own
+/// decode cannot notice a format change (it sits on both sides); these
+/// constants can. The payload (every section) is host-independent; the
+/// header carries the ISA/CRC-backend stamp, so the whole-file values are
+/// pinned for the stamp they were computed under.
+struct GoldenArtifact {
+  SchemeKind kind;
+  std::uint64_t size;
+  std::uint32_t file_crc;    ///< trailer: CRC32C of bytes [0, size - 4)
+  std::uint32_t header_crc;
+  std::uint64_t payload_size;
+  std::uint32_t payload_crc;  ///< CRC32C of [header end, size - 4)
+};
+
+constexpr GoldenArtifact kGolden[] = {
+    {SchemeKind::kTZDirect, 493587, 0xfc5e7ad8, 0xcca87096, 493428,
+     0xc6f9c6e8},
+    {SchemeKind::kTZHandshake, 493587, 0xfc5e7ad8, 0x0090c1cf, 493428,
+     0xc6f9c6e8},
+    {SchemeKind::kCowen, 46091, 0xa6eefe8a, 0xf38dae53, 45956, 0x0090e89c},
+    {SchemeKind::kFullTable, 172967, 0x89818310, 0x05dba097, 172832,
+     0xf1817718},
+};
+constexpr const char* kGoldenStamp = "generic/sse4.2";
+
+std::uint32_t load_u32(const std::string& bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + at, 4);
+  return v;
+}
+
+TEST(ArtifactFormat, BytesMatchTheVersion1Golden) {
+  // The generic kernels make the stamp's ISA half the same on every host.
+  const simd::Isa prior = simd::selected();
+  simd::force(simd::Isa::kGeneric);
+  const Graph g = test_graph(1, 200);
+  for (const GoldenArtifact& gold : kGolden) {
+    RouteServiceOptions opt = base_options(gold.kind);
+    opt.seed = 1;
+    const std::string bytes = persist::encode_package(*build(g, opt), 1);
+    const persist::ArtifactHeader h = persist::read_artifact_header(bytes);
+    EXPECT_EQ(h.meta.format_version, 1u);
+    const std::uint64_t payload = bytes.size() - h.header_bytes - 4;
+    EXPECT_EQ(payload, gold.payload_size) << scheme_name(gold.kind);
+    EXPECT_EQ(crc32c(bytes.data() + h.header_bytes, payload),
+              gold.payload_crc)
+        << scheme_name(gold.kind);
+    if (h.meta.build_host != kGoldenStamp) continue;
+    EXPECT_EQ(bytes.size(), gold.size) << scheme_name(gold.kind);
+    EXPECT_EQ(crc32c(bytes.data(), bytes.size() - 4), gold.file_crc)
+        << scheme_name(gold.kind);
+    EXPECT_EQ(load_u32(bytes, bytes.size() - 4), gold.file_crc);
+    EXPECT_EQ(load_u32(bytes, h.header_bytes - 4), gold.header_crc)
+        << scheme_name(gold.kind);
+  }
+  simd::force(prior);
+}
+
 // --- corruption matrix ---------------------------------------------------
 
 TEST(ArtifactCorruption, BitFlipsAnywhereRejectCleanly) {
@@ -309,6 +373,9 @@ TEST(ArtifactStore, PublishThenRecoverServesSameBytes) {
   ASSERT_NE(rec.package, nullptr) << rec.note;
   EXPECT_EQ(rec.meta.generation, 1u);
   EXPECT_TRUE(rec.rejected.empty());
+  EXPECT_GT(rec.read_s, 0.0);
+  EXPECT_GT(rec.verify_s, 0.0);
+  EXPECT_GT(rec.decode_s, 0.0);
   EXPECT_TRUE(persist::encode_package(*rec.package, 1) ==
               persist::encode_package(*pkg, 1));
 }
@@ -476,6 +543,25 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, PersistLifecycle,
                                            SchemeKind::kTZHandshake,
                                            SchemeKind::kCowen,
                                            SchemeKind::kFullTable));
+
+TEST(PersistLifecycle, RecoveryStagesAreExported) {
+  const std::string dir = scratch_dir("svc_stages");
+  const Graph g = test_graph(25, 150);
+  RouteServiceOptions opt = base_options(SchemeKind::kTZDirect);
+  opt.metrics = true;
+  opt.persist.dir = dir;
+  { RouteService seed_store(g, opt); }  // persists generation 1
+  RouteService svc(g, opt);
+  ASSERT_TRUE(svc.recovered_from_artifact()) << svc.recovery_note();
+  const obs::MetricRegistry* reg = svc.metrics_registry();
+  ASSERT_NE(reg, nullptr);
+  for (const char* name : {"croute_persist_read_us", "croute_persist_verify_us",
+                           "croute_persist_decode_us"}) {
+    const obs::LogHistogram* h = reg->find_histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->snapshot().count, 1u) << name;
+  }
+}
 
 TEST(PersistLifecycle, CorruptStoreDegradesToFreshBuildWithReason) {
   const std::string dir = scratch_dir("svc_degrade");

@@ -1,12 +1,13 @@
 // Tests for core/scheme_io: loaded schemes must be behaviorally identical
 // to the originals (headers, hops, space accounting), and the loader must
-// reject wrong graphs, corrupt streams, and version mismatches.
+// reject wrong graphs, corrupt bytes, and version mismatches.
 
 #include "core/scheme_io.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <string>
 
 #include "core/tz_router.hpp"
 #include "graph/connectivity.hpp"
@@ -34,9 +35,8 @@ TEST(SchemeIo, RoundTripPreservesEveryHeaderAndTable) {
       largest_component(erdos_renyi_gnm(150, 600, graph_rng)).graph;
   const TZScheme original = make_scheme(g, 3, 7);
 
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const std::string bytes = save_scheme(original);
+  const TZScheme loaded = load_scheme(bytes, g);
 
   ASSERT_EQ(loaded.k(), original.k());
   const TZRouter r1(original), r2(loaded);
@@ -63,9 +63,8 @@ TEST(SchemeIo, LoadedSchemeRoutesIdentically) {
   Rng rng(2);
   const Graph g = make_workload(GraphFamily::kBarabasiAlbert, 400, rng);
   const TZScheme original = make_scheme(g, 2, 9);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const std::string bytes = save_scheme(original);
+  const TZScheme loaded = load_scheme(bytes, g);
   const Simulator sim(g);
   const auto pairs = sample_pairs(g, 400, rng);
   for (const auto& p : pairs) {
@@ -82,9 +81,8 @@ TEST(SchemeIo, HashIndexRebuiltOnLoad) {
   const Graph g =
       largest_component(erdos_renyi_gnm(80, 320, graph_rng)).graph;
   const TZScheme original = make_scheme(g, 3, 11, /*hash_index=*/true);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const std::string bytes = save_scheme(original);
+  const TZScheme loaded = load_scheme(bytes, g);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_TRUE(loaded.table(v).has_hash_index());
     for (const TableEntry& e : original.table(v).entries()) {
@@ -99,9 +97,8 @@ TEST(SchemeIo, CarriedDistancesSurvive) {
       largest_component(erdos_renyi_gnm(60, 240, graph_rng)).graph;
   const TZScheme original =
       make_scheme(g, 3, 13, false, /*carry=*/true);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const TZScheme loaded = load_scheme(ss, g);
+  const std::string bytes = save_scheme(original);
+  const TZScheme loaded = load_scheme(bytes, g);
   for (VertexId t = 0; t < g.num_vertices(); ++t) {
     const auto& a = original.label(t).entries;
     const auto& b = loaded.label(t).entries;
@@ -123,9 +120,8 @@ TEST(SchemeIo, WrongGraphRejected) {
   const Graph other =
       largest_component(erdos_renyi_gnm(70, 280, graph_rng)).graph;
   const TZScheme original = make_scheme(g, 2, 15);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  EXPECT_THROW(load_scheme(ss, other), std::invalid_argument);
+  const std::string bytes = save_scheme(original);
+  EXPECT_THROW(load_scheme(bytes, other), std::invalid_argument);
 }
 
 TEST(SchemeIo, ReweightedGraphRejected) {
@@ -134,9 +130,8 @@ TEST(SchemeIo, ReweightedGraphRejected) {
   b2.add_edge(0, 1, 1.0).add_edge(1, 2, 2.0);
   const Graph g1 = b1.build(), g2 = b2.build();
   const TZScheme original = make_scheme(g1, 2, 17);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  EXPECT_THROW(load_scheme(ss, g2), std::invalid_argument);
+  const std::string bytes = save_scheme(original);
+  EXPECT_THROW(load_scheme(bytes, g2), std::invalid_argument);
 }
 
 TEST(SchemeIo, TruncatedStreamRejected) {
@@ -144,13 +139,10 @@ TEST(SchemeIo, TruncatedStreamRejected) {
   const Graph g =
       largest_component(erdos_renyi_gnm(50, 200, graph_rng)).graph;
   const TZScheme original = make_scheme(g, 2, 19);
-  std::stringstream ss;
-  save_scheme(ss, original);
-  const std::string full = ss.str();
+  const std::string bytes = save_scheme(original);
   for (const double frac : {0.1, 0.5, 0.9, 0.999}) {
-    std::stringstream cut(
-        full.substr(0, static_cast<std::size_t>(
-                           static_cast<double>(full.size()) * frac)));
+    const std::string_view cut = std::string_view(bytes).substr(
+        0, static_cast<std::size_t>(static_cast<double>(bytes.size()) * frac));
     EXPECT_THROW(load_scheme(cut, g), std::invalid_argument)
         << "fraction " << frac;
   }
@@ -158,8 +150,7 @@ TEST(SchemeIo, TruncatedStreamRejected) {
 
 TEST(SchemeIo, GarbageRejected) {
   const Graph g = path_graph(4);
-  std::stringstream ss("this is not a scheme");
-  EXPECT_THROW(load_scheme(ss, g), std::invalid_argument);
+  EXPECT_THROW(load_scheme("this is not a scheme", g), std::invalid_argument);
 }
 
 TEST(SchemeIo, FileRoundTrip) {

@@ -5,9 +5,11 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
+#include "util/crc32c.hpp"
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -147,6 +149,23 @@ TEST(ParallelFor, GrainRespectsAllIndices) {
 }
 
 TEST(WorkerCount, AtLeastOne) { EXPECT_GE(worker_count(), 1u); }
+
+TEST(Crc32c, KnownValueAndCombineMatchesOnePass) {
+  // The iSCSI check value pins the convention (inverted in and out).
+  EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
+  std::string bytes(10007, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+  }
+  const std::uint32_t whole = crc32c(bytes.data(), bytes.size());
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
+                                std::size_t{8}, std::size_t{4096},
+                                bytes.size() - 3, bytes.size()}) {
+    const std::uint32_t a = crc32c(bytes.data(), cut);
+    const std::uint32_t b = crc32c(bytes.data() + cut, bytes.size() - cut);
+    EXPECT_EQ(crc32c_combine(a, b, bytes.size() - cut), whole) << cut;
+  }
+}
 
 }  // namespace
 }  // namespace croute
